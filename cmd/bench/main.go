@@ -389,13 +389,10 @@ func runShardBench(cfg mmptcp.Config) (testing.BenchmarkResult, map[string]float
 		m["fault_events"] = float64(last.FaultEvents)
 	}
 	if s := last.Shard; s.Shards > 1 {
-		// Synchronization counters, deterministic per (seed, shards,
-		// mode): the adaptive-vs-conservative barrier ratio the CI guard
-		// checks is computed across rows from these.
+		// Synchronization counters, deterministic per (seed, shards).
 		m["barriers"] = float64(s.Barriers)
 		m["elided_wakeups"] = float64(s.ElidedWakeups)
 		m["mean_window_ns"] = s.MeanWindowNs
-		m["widened_windows"] = float64(s.WidenedWindows)
 	}
 	return br, m
 }
@@ -406,9 +403,7 @@ func runShardBench(cfg mmptcp.Config) (testing.BenchmarkResult, map[string]float
 // measured like-for-like ratio. Each row carries the cores metric: on a
 // single-core runner the honest expectation is speedup ~1 or below
 // (barrier overhead, nothing to parallelise across), which is why the
-// CI speedup guard is core-gated. It then runs the quiet-boundary
-// variant in both lookahead modes — the shard-quiet/* and
-// shard-adaptive/* rows.
+// CI speedup guard is core-gated.
 func shardThroughput(quick bool, add addFunc) {
 	variants := []struct {
 		name   string
@@ -437,54 +432,6 @@ func shardThroughput(quick bool, add addFunc) {
 		add(v.name, br, m)
 	}
 
-	// The quiet-boundary variant (mmptcp.ShardQuietBenchConfig:
-	// rack-local shorts, sparse arrivals, no long-flow background) is
-	// the workload adaptive lookahead exists for: shard boundaries sit
-	// idle between bursts, so EOT promises can stride across the gaps.
-	// shard-quiet/{seq,2,4} are the conservative rows; shard-adaptive/
-	// {2,4} run the same configs with adaptive lookahead. barrier_ratio
-	// (conservative barriers / adaptive barriers, same config) is a
-	// virtual-time fact — deterministic per (seed, shards) on any box —
-	// and is what the bench-smoke CI guard holds the >= 2x floor on.
-	// speedup_vs_conservative compares wall time at equal parallelism,
-	// so it is meaningful on any core count; speedup_vs_seq stays
-	// core-gated like every other shard row.
-	var quietSeqNs float64
-	quietNs := map[int]float64{}
-	quietBarriers := map[int]float64{}
-	for _, shards := range []int{0, 2, 4} {
-		cfg := mmptcp.ShardQuietBenchConfig(shards, quick)
-		br, m := runShardBench(cfg)
-		nsPerOp := float64(br.T.Nanoseconds()) / float64(br.N)
-		name := "shard-quiet/seq"
-		if shards == 0 {
-			quietSeqNs = nsPerOp
-		} else {
-			name = fmt.Sprintf("shard-quiet/%d", shards)
-			m["shards"] = float64(shards)
-			quietNs[shards] = nsPerOp
-			quietBarriers[shards] = m["barriers"]
-			if int(m["cores"]) >= shards {
-				m["speedup_vs_seq"] = quietSeqNs / nsPerOp
-			}
-		}
-		add(name, br, m)
-	}
-	for _, shards := range []int{2, 4} {
-		cfg := mmptcp.ShardQuietBenchConfig(shards, quick)
-		cfg.Lookahead = mmptcp.LookaheadAdaptive
-		br, m := runShardBench(cfg)
-		nsPerOp := float64(br.T.Nanoseconds()) / float64(br.N)
-		m["shards"] = float64(shards)
-		m["speedup_vs_conservative"] = quietNs[shards] / nsPerOp
-		if b := m["barriers"]; b > 0 {
-			m["barrier_ratio"] = quietBarriers[shards] / b
-		}
-		if int(m["cores"]) >= shards {
-			m["speedup_vs_seq"] = quietSeqNs / nsPerOp
-		}
-		add(fmt.Sprintf("shard-adaptive/%d", shards), br, m)
-	}
 }
 
 // shardScale is the ROADMAP acceptance row: the K=16 churn scenario
@@ -498,27 +445,12 @@ func shardScale(quick bool, add addFunc) {
 	seqNs := float64(brSeq.T.Nanoseconds()) / float64(brSeq.N)
 
 	brSh, mSh := runShardBench(mmptcp.ShardScaleBenchConfig(4, quick))
-	consNs := float64(brSh.T.Nanoseconds()) / float64(brSh.N)
-	consBarriers := mSh["barriers"]
 	mSh["shards"] = 4
 	if int(mSh["cores"]) >= 4 {
-		mSh["speedup_vs_seq"] = seqNs / consNs
+		mSh["speedup_vs_seq"] = seqNs / (float64(brSh.T.Nanoseconds()) / float64(brSh.N))
 	}
 	add("shard-scale/k16-churn", brSh, mSh)
 
-	cfgA := mmptcp.ShardScaleBenchConfig(4, quick)
-	cfgA.Lookahead = mmptcp.LookaheadAdaptive
-	brA, mA := runShardBench(cfgA)
-	nsA := float64(brA.T.Nanoseconds()) / float64(brA.N)
-	mA["shards"] = 4
-	mA["speedup_vs_conservative"] = consNs / nsA
-	if b := mA["barriers"]; b > 0 {
-		mA["barrier_ratio"] = consBarriers / b
-	}
-	if int(mA["cores"]) >= 4 {
-		mA["speedup_vs_seq"] = seqNs / nsA
-	}
-	add("shard-adaptive/k16-churn", brA, mA)
 }
 
 // microBenches are the two allocation-free hot paths the regression

@@ -151,13 +151,6 @@ type Link struct {
 	rxBlackholed      int64
 	rxBlackholedBytes int64
 
-	// rxClass is the destination node's horizon class (see
-	// sim.Engine.SetHorizonClasses), stamped on every delivery this link
-	// schedules: crossing the link moves the packet to dst, so its
-	// remaining influence distance is dst's, not the sender's. Zero (the
-	// default, and always in sequential runs) is the sound "unknown".
-	rxClass uint8
-
 	// txDoneFn and deliverFn are the long-lived engine callbacks for the
 	// two per-packet events of a transmission, created once so the hot
 	// path schedules with ScheduleArg instead of allocating a closure
@@ -225,11 +218,6 @@ func (l *Link) Rebind(txEng *sim.Engine, rxSched sim.EventScheduler, txPool, rxP
 	l.pool = txPool
 	l.rxPool = rxPool
 }
-
-// SetRxHorizonClass installs the destination node's horizon class,
-// stamped on every delivery scheduled through rxSched. The sharded
-// partitioner computes it per node; 0 restores the untagged default.
-func (l *Link) SetRxHorizonClass(c uint8) { l.rxClass = c }
 
 // FoldRx merges the receive-side blackhole counters into Stats. The
 // coordinator calls it at a barrier (both shard threads paused) before
@@ -518,10 +506,8 @@ func (l *Link) txDone(p *Packet) {
 	// this is exactly ScheduleArg(prop, ...); on a shard boundary it
 	// routes the delivery into the destination shard's heap (via the
 	// outbox), which is what makes the link the cut point of the fabric
-	// partition. The delivery carries the destination node's horizon
-	// class — the hop that re-tags influence distance as packets move
-	// through the fabric.
-	l.rxSched.AtArgClass(l.eng.Now()+l.prop, l.deliverFn, p, l.rxClass)
+	// partition.
+	l.rxSched.AtArg(l.eng.Now()+l.prop, l.deliverFn, p)
 	if l.count > 0 {
 		l.accountQueue()
 		next := l.queue[l.head]

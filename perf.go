@@ -77,32 +77,6 @@ func ShardThroughputBenchConfig(shards int, quick bool) Config {
 	return cfg
 }
 
-// ShardQuietBenchConfig is the tracked quiet-boundary variant of the
-// shard-throughput comparison: the same bench-scale FatTree, but the
-// workload is a sparse trickle of short flows with no long-flow
-// background, so shard boundaries sit idle between bursts. Under the
-// static window the coordinator still barriers once per lookahead
-// bucket whenever any shard holds a pending event, flushing empty
-// outboxes; EOT promises let adaptive mode stride across the gaps in a
-// handful of wide windows. This is the scenario the barrier_ratio CI
-// guard holds its >= 2x floor on — the dense shard-throughput workload
-// keeps every heap head within one propagation delay of the clock, so
-// no conservative promise can widen anything there (the adaptive rows
-// on that workload pin "no slower", not "fewer barriers").
-func ShardQuietBenchConfig(shards int, quick bool) Config {
-	flows := 400
-	if quick {
-		flows = 120
-	}
-	cfg := SmallConfig(ProtoMMPTCP, flows)
-	cfg.Seed = 1
-	cfg.Shards = shards
-	cfg.LongFraction = -1 // no long-flow background: boundaries go quiet between shorts
-	cfg.LocalFraction = 1 // rack-local permutation: flows never cross the agg layer
-	cfg.ArrivalRate = 4   // sparse arrivals: the fabric idles between bursts
-	return cfg
-}
-
 // ShardScaleBenchConfig is the ROADMAP's K=16 target scenario: a
 // 16-pod, 320-switch FatTree (3,456 hosts at full scale, 256 in quick
 // mode) under a steady trickle of aggregation-cable churn with global

@@ -108,8 +108,7 @@ type Results struct {
 	// and window counts, elided wakeups, mean window width. On a
 	// sequential run only Shards (=1) is set. Like Events and the link
 	// totals, the counters include the documented post-Stop window
-	// overrun, so they vary across lookahead modes even when the
-	// flow-level results match.
+	// overrun.
 	Shard metrics.ShardStats
 
 	Elapsed sim.Time // virtual time when the run ended
@@ -153,7 +152,7 @@ func NewRunInstance(cfg Config) (*RunInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := shard.BuildWeighted(eng, net, cfg.Shards, cfg.ShardWeights)
+	fab, err := shard.Build(eng, net, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -164,14 +163,6 @@ func NewRunInstance(cfg Config) (*RunInstance, error) {
 
 // Shape returns the structural key the instance serves.
 func (ri *RunInstance) Shape() Shape { return ri.shape }
-
-// SwitchLoads returns every switch's cumulative forwarded-packet count
-// from the instance's last run, parallel to the built topology's
-// switches — the measured-load input for Config.ShardWeights. Profile a
-// representative run on an unweighted instance, feed the loads back as
-// weights, and the re-built partition balances measured events instead
-// of switch count.
-func (ri *RunInstance) SwitchLoads() []float64 { return ri.net.SwitchLoads() }
 
 // Recorder returns the structured event recorder armed for the
 // instance's current run, or nil when tracing is off. After a run it
@@ -312,6 +303,9 @@ func runPooled(ctx context.Context, cfg Config, pool *sweep.InstancePool[Shape, 
 // applied and its workload validated; inst is fresh or Reset for cfg.
 func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, error) {
 	eng, net, fab := inst.eng, inst.net, inst.fab
+	if cfg.HotspotFraction > 0 && cfg.HotspotHost >= len(net.Hosts) {
+		return nil, fmt.Errorf("mmptcp: HotspotHost %d out of range for %d hosts", cfg.HotspotHost, len(net.Hosts))
+	}
 	if ctx.Done() != nil {
 		eng.SetInterrupt(ctxPollEvents, func() bool { return ctx.Err() != nil })
 	}
@@ -397,9 +391,6 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 			Fraction: cfg.HotspotFraction,
 			Host:     cfg.HotspotHost,
 		})
-	}
-	if cfg.LocalFraction > 0 {
-		assign.ApplyLocality(cfg.LocalFraction, cfg.HostsPerEdge)
 	}
 
 	res := &Results{Config: cfg, Layers: make(map[netem.Layer]metrics.LayerStats)}
@@ -566,7 +557,6 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	_, elapsed := fab.Run(shard.RunOptions{
 		Until:     cfg.MaxSimTime,
 		Interrupt: interrupt,
-		Adaptive:  cfg.Lookahead == LookaheadAdaptive,
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -579,13 +569,11 @@ func runWith(ctx context.Context, cfg Config, inst *RunInstance) (*Results, erro
 	res.Shard = metrics.ShardStats{Shards: fab.Shards()}
 	if fab.Shards() > 1 {
 		st := fab.Stats()
-		res.Shard.Mode = string(cfg.Lookahead)
 		res.Shard.LookaheadNs = int64(fab.Lookahead())
 		res.Shard.Barriers = st.Barriers
 		res.Shard.ControlTurns = st.ControlTurns
 		res.Shard.Windows = st.Windows
 		res.Shard.ElidedWakeups = st.ElidedWakeups
-		res.Shard.WidenedWindows = st.WidenedWindows
 		res.Shard.MeanWindowNs = st.MeanWindowNs()
 	}
 

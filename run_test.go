@@ -1,6 +1,7 @@
 package mmptcp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -154,6 +155,23 @@ func TestRunValidation(t *testing.T) {
 		{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, LongFraction: 1.5},
 		{Protocol: ProtoTCP, ShortFlows: 5, ArrivalRate: 1, Topology: "ring"},
 	}
+	// Hotspot knobs: a host outside the built fabric (64 hosts here)
+	// and a fraction that is NaN or outside [0,1] must fail before any
+	// event runs, not panic mid-run.
+	hot := func(frac float64, host int) Config {
+		cfg := tiny(ProtoTCP, 10)
+		cfg.HotspotFraction = frac
+		cfg.HotspotHost = host
+		return cfg
+	}
+	cases = append(cases,
+		hot(0.5, 9999),
+		hot(0.5, 64),
+		hot(0.5, -3),
+		hot(math.NaN(), 0),
+		hot(-0.1, 0),
+		hot(1.5, 0),
+	)
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: no error for invalid config", i)
