@@ -249,7 +249,7 @@ func BenchmarkXCoexistence(b *testing.B) {
 // the headline workload, for performance regressions.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(EngineBenchConfig(false))
+		res, err := Run(benchConfig(ProtoMMPTCP, 100))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,12 +372,31 @@ func BenchmarkXSACK(b *testing.B) {
 	}
 }
 
-// BenchmarkXRedialChurn exercises transport recovery on the tracked
-// outage scenario (RedialChurnBenchConfig, shared with cmd/bench's
-// recovery rows): subflows pinned through the unreachable cores re-dial
-// onto live paths instead of waiting out the repair in RTO backoff. The
-// off variant is the same scenario with the machinery disarmed — its
-// numbers must not move as the recovery code evolves.
+// redialChurnConfig is BenchmarkXRedialChurn's outage scenario: a
+// 512-host multipath workload under local repair with a mid-run agg-core
+// outage, so subflows pinned through the unreachable cores sit in RTO
+// backoff until re-dialing replaces them — the work the recovery
+// machinery exists for. With recovery false the identical scenario runs
+// with the machinery disarmed.
+func redialChurnConfig(recovery bool) Config {
+	cfg := PaperConfig(ProtoMPTCP, 80)
+	cfg.MaxSimTime = 10 * Second
+	cfg.Seed = 1
+	cfg.Faults = FaultsConfig{
+		Events:          FailCables(LayerAgg, 2, 150*Millisecond, 2500*Millisecond),
+		ReconvergeDelay: 25 * Millisecond,
+	}
+	if recovery {
+		cfg.Transport = TransportConfig{DeadRTOs: 2, RedialBudget: 8}
+	}
+	return cfg
+}
+
+// BenchmarkXRedialChurn exercises transport recovery on the outage
+// scenario (redialChurnConfig): subflows pinned through the unreachable
+// cores re-dial onto live paths instead of waiting out the repair in RTO
+// backoff. The off variant is the same scenario with the machinery
+// disarmed — its numbers must not move as the recovery code evolves.
 func BenchmarkXRedialChurn(b *testing.B) {
 	for _, recovery := range []bool{false, true} {
 		name := "off"
@@ -386,13 +405,36 @@ func BenchmarkXRedialChurn(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Run(RedialChurnBenchConfig(recovery, false))
+				res, err := Run(redialChurnConfig(recovery))
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(res.Redials), "redials")
 				b.ReportMetric(float64(res.RedialRecovered), "redial-recovered")
 				b.ReportMetric(res.LongThroughputMbps, "long-tput-mbps")
+			}
+		})
+	}
+}
+
+// BenchmarkShardScale runs the quick K=16 churn scenario
+// (ShardScaleBenchConfig) sequentially and on 4 shards. CI divides the
+// seq ns/op by the shards=4 ns/op and fails below a 2x speedup on
+// runners with at least 4 cores; on fewer cores the shards time-slice
+// and the ratio measures nothing but barrier overhead.
+func BenchmarkShardScale(b *testing.B) {
+	for _, shards := range []int{0, 4} {
+		name := "seq"
+		if shards > 0 {
+			name = fmt.Sprintf("shards=%d", shards)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := Run(ShardScaleBenchConfig(shards, true))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Events), "events")
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // Package prof is the tiny shared profiling harness behind the
-// -cpuprofile/-memprofile flags of cmd/mmptcpsim, cmd/figures and
-// cmd/bench: start a CPU profile, run the workload, stop it, and write
-// a heap profile at exit. It wraps runtime/pprof so the three commands
-// share flag semantics (empty path = off) and error handling.
+// -cpuprofile/-memprofile flags of cmd/mmptcpsim and cmd/figures: start
+// a CPU profile, run the workload, stop it, and write a heap profile at
+// exit. It wraps runtime/pprof so both commands share flag semantics
+// (empty path = off) and error handling.
 package prof
 
 import (

@@ -65,9 +65,9 @@ import (
 
 // ForceFullRecompute, when set, disables the incremental invalidation
 // logic: every recompute discards the distance cache and rebuilds every
-// destination, exactly like the pre-incremental control plane. It exists
-// for the equivalence tests and for benchmarking the incremental win;
-// runs must not toggle it concurrently (it is read at recompute time).
+// destination, exactly like the pre-incremental control plane. Only the
+// incremental-vs-full equivalence tests set it; runs must not toggle it
+// concurrently (it is read at recompute time).
 var ForceFullRecompute bool
 
 // Mode selects the repair model for a run.

@@ -132,7 +132,7 @@ type Options struct {
 // components hold a plain possibly-nil pointer and hot paths guard
 // with a single `if rec != nil` branch, keeping the disabled cost to a
 // predictable-not-taken branch (pinned by TestTraceDisabledAllocationFree
-// and the engine-throughput bench guard).
+// and timed by perfbench's cpu_per_sim_s gate).
 //
 // A Recorder is owned by one run (one engine) at a time; it is not
 // safe for concurrent use. Pooled sweeps give each in-flight run its

@@ -452,6 +452,24 @@ func (c *Config) applyDefaults() error {
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 300 * sim.Second
 	}
+	if err := c.validateStructure(); err != nil {
+		return err
+	}
+	// Zero takes the default above; a negative value would silently run
+	// a nonsense experiment (no subflows, flows that never finish, a run
+	// that stops before it starts).
+	switch {
+	case c.Subflows < 0:
+		return fmt.Errorf("mmptcp: negative Subflows %d", c.Subflows)
+	case c.ShortFlowSize < 0:
+		return fmt.Errorf("mmptcp: negative ShortFlowSize %d", c.ShortFlowSize)
+	case c.Warmup < 0:
+		return fmt.Errorf("mmptcp: negative Warmup %v", c.Warmup)
+	case c.Deadline < 0:
+		return fmt.Errorf("mmptcp: negative Deadline %v", c.Deadline)
+	case c.MaxSimTime < 0:
+		return fmt.Errorf("mmptcp: negative MaxSimTime %v", c.MaxSimTime)
+	}
 	switch c.Protocol {
 	case ProtoTCP, ProtoMPTCP, ProtoMMPTCP:
 	case ProtoDCTCP:
@@ -583,6 +601,40 @@ func (c *Config) applyDefaults() error {
 		if c.Trace.MaxEvents == 0 {
 			c.Trace.MaxEvents = DefaultTraceMaxEvents
 		}
+	}
+	return nil
+}
+
+// validateStructure rejects the topology and link values the builders
+// would panic on. Call after the structural defaults are applied.
+func (c *Config) validateStructure() error {
+	if c.HostsPerEdge < 1 {
+		return fmt.Errorf("mmptcp: HostsPerEdge must be at least 1, got %d", c.HostsPerEdge)
+	}
+	switch c.Topology {
+	case TopoFatTree, TopoVL2:
+		if c.K < 2 || c.K%2 != 0 {
+			return fmt.Errorf("mmptcp: %s K must be even and >= 2, got %d", c.Topology, c.K)
+		}
+	case TopoMultiHomed:
+		if c.K < 4 || c.K%2 != 0 {
+			return fmt.Errorf("mmptcp: %s K must be even and >= 4, got %d", c.Topology, c.K)
+		}
+	case TopoDumbbell:
+		if c.K*c.HostsPerEdge/2 < 1 {
+			return fmt.Errorf("mmptcp: %s needs K*HostsPerEdge/2 >= 1 host per side, got K %d, HostsPerEdge %d",
+				c.Topology, c.K, c.HostsPerEdge)
+		}
+	}
+	switch {
+	case c.LinkRateBps < 0:
+		return fmt.Errorf("mmptcp: negative LinkRateBps %d", c.LinkRateBps)
+	case c.BottleneckBps < 0:
+		return fmt.Errorf("mmptcp: negative BottleneckBps %d", c.BottleneckBps)
+	case c.LinkDelay < 0:
+		return fmt.Errorf("mmptcp: negative LinkDelay %v", c.LinkDelay)
+	case c.QueueLimit < 0:
+		return fmt.Errorf("mmptcp: negative QueueLimit %d", c.QueueLimit)
 	}
 	return nil
 }

@@ -177,6 +177,42 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("case %d: no error for invalid config", i)
 		}
 	}
+	// Structural, workload and control values the builders would panic
+	// on or a run would silently accept: Run, NewRunInstance and
+	// NewNetwork must all fail validation with an error instead.
+	rejected := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"odd K", func(c *Config) { c.K = 3 }},
+		{"negative K", func(c *Config) { c.K = -2 }},
+		{"vl2 odd K", func(c *Config) { c.Topology, c.K = TopoVL2, 3 }},
+		{"multihomed K=2", func(c *Config) { c.Topology, c.K = TopoMultiHomed, 2 }},
+		{"dumbbell without hosts", func(c *Config) { c.Topology, c.K, c.HostsPerEdge = TopoDumbbell, 1, 1 }},
+		{"dumbbell negative bottleneck", func(c *Config) { c.Topology, c.BottleneckBps = TopoDumbbell, -1 }},
+		{"negative HostsPerEdge", func(c *Config) { c.HostsPerEdge = -1 }},
+		{"negative LinkRateBps", func(c *Config) { c.LinkRateBps = -1 }},
+		{"negative QueueLimit", func(c *Config) { c.QueueLimit = -1 }},
+		{"negative LinkDelay", func(c *Config) { c.LinkDelay = -1 }},
+		{"negative ShortFlowSize", func(c *Config) { c.ShortFlowSize = -1 }},
+		{"negative MaxSimTime", func(c *Config) { c.MaxSimTime = -1 }},
+		{"negative Subflows", func(c *Config) { c.Subflows = -1 }},
+		{"negative Warmup", func(c *Config) { c.Warmup = -1 }},
+		{"negative Deadline", func(c *Config) { c.Deadline = -1 }},
+	}
+	for _, tc := range rejected {
+		cfg := SmallConfig(ProtoMMPTCP, 5)
+		tc.edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run returned no error", tc.name)
+		}
+		if _, err := NewRunInstance(cfg); err == nil {
+			t.Errorf("%s: NewRunInstance returned no error", tc.name)
+		}
+		if _, err := NewNetwork(sim.NewEngine(), cfg); err == nil {
+			t.Errorf("%s: NewNetwork returned no error", tc.name)
+		}
+	}
 }
 
 func TestRunNoLongFlows(t *testing.T) {

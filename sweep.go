@@ -63,8 +63,9 @@ type SweepOptions struct {
 	// Pool recycles run instances (engine + built network) across
 	// configs that share a structural Shape instead of rebuilding them
 	// for every run: replicate sweeps — many seeds over few shapes — cut
-	// their per-run setup allocations by orders of magnitude (see
-	// cmd/bench's sweep-scale rows). Results are byte-identical to the
+	// their per-run setup allocations to zero in steady state
+	// (TestPooledSweepWorkerAllocationFree; perfbench's seed-sweep
+	// workload times it). Results are byte-identical to the
 	// unpooled path at any worker count (TestPooledSweepByteIdentical);
 	// peak live instances stay bounded by Workers per distinct shape.
 	Pool bool
